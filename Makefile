@@ -18,12 +18,13 @@ STATICCHECK_VERSION ?= 2025.1.1
 # verify is the pre-commit gate: vet, staticcheck (when installed — CI
 # always runs it pinned; local runs without it just skip), full build,
 # the full test suite, the race detector on the concurrency-heavy
-# packages (the sharded metrics registry, the runtime core, and the
-# per-link fabric charging), the
-# simulator stress test that hammers Machine.Access from one goroutine
-# per core (exercises the coherence directory and the lock-free tag
-# arrays under -race), and a short fuzz pass over the corpus-backed
-# fuzzers.
+# packages (the sharded metrics registry, the runtime core, the per-link
+# fabric charging, the lock-free cache tag arrays and the memory token
+# buckets), the simulator stress test that hammers Machine.Access from
+# one goroutine per core (exercises the coherence directory and the
+# lock-free tag arrays under -race) next to the test that shares one
+# directory page cache between two goroutines, and a short fuzz pass
+# over the corpus-backed fuzzers.
 verify:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -33,8 +34,8 @@ verify:
 	fi
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/...
-	$(GO) test -race -run TestMachineAccessRaceStress ./internal/sim/
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/... ./internal/cache/... ./internal/mem/...
+	$(GO) test -race -run 'TestMachineAccessRaceStress|TestDirCacheSharedIsTearProof' ./internal/sim/
 	$(GO) test -race -count=2 -run TestPowerReplayBitIdentical ./internal/core/
 	$(GO) test -race -count=2 -run TestTenantIsolationReplay ./internal/core/
 	$(MAKE) bench-smoke
@@ -43,7 +44,8 @@ verify:
 # bench-smoke compiles and runs every recorded benchmark for a fixed 10
 # iterations: it cannot produce numbers worth reading, but it catches a
 # benchmark that no longer builds, panics, or hangs before make bench (or
-# CI's nightly bench job) trips over it.
+# CI's nightly bench job) trips over it. The sim pattern covers every
+# BenchmarkMachineAccess mix, crosschiplet included.
 bench-smoke:
 	$(GO) test ./internal/core/ -run xxx -bench . -benchtime 10x -benchmem
 	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMachineAccess -benchtime 10x -benchmem
@@ -80,8 +82,7 @@ bench:
 		-time-cmd "$(GO) run ./cmd/charm-bench all"
 	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMachineAccess -benchtime 1s -benchmem \
 		| $(GO) run ./cmd/benchjson -o BENCH_directory.json \
-		-note "Machine.Access: coherence directory (dir) vs broadcast L3 scan (scan), AMDMilan7713x2" \
-		-end-to-end "charm-bench all (default scale, sequential): ~53s before the directory, ~40s after (~1.3x)"
+		-note "Machine.Access: coherence directory (dir) vs broadcast L3 scan (scan); readhot/writeshared/streamingmiss on AMDMilan7713x2, crosschiplet on Synthetic(4,2) at MLP 32 (perfbench fabric-stream's shape)"
 	$(GO) test ./internal/place/ -run xxx -bench BenchmarkPlacement -benchtime 1s -benchmem \
 		| $(GO) run ./cmd/benchjson -o BENCH_placement.json \
 		-note "internal/place decision plane on AMDMilan7713x2: rank build (one-time), per-decision view build and Select/ordering queries"
@@ -95,10 +96,11 @@ bench:
 		| $(GO) run ./cmd/benchjson -o BENCH_fabric.json \
 		-note "per-transfer charge cost of each interconnect fabric (route lookup + per-hop token-bucket charging) on a 2-socket 4x2 machine with a uniform-random transfer mix"
 
-# bench-gate reruns the engine, placement, and fabric benchmarks and diffs
-# them against the checked-in records, failing on any >15% ns/op regression
-# (override with GATE_THRESHOLD). Run it before committing changes to the
-# hot paths; make bench refreshes the records when a delta is deliberate.
+# bench-gate reruns the engine, placement, fabric and simulator
+# access-path (directory) benchmarks and diffs them against the
+# checked-in records, failing on any >15% ns/op regression (override with
+# GATE_THRESHOLD). Run it before committing changes to the hot paths;
+# make bench refreshes the records when a delta is deliberate.
 GATE_THRESHOLD ?= 15
 
 bench-gate:
@@ -108,6 +110,8 @@ bench-gate:
 		| $(GO) run ./cmd/benchjson -gate BENCH_placement.json -gate-threshold $(GATE_THRESHOLD)
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 1s -benchmem \
 		| $(GO) run ./cmd/benchjson -gate BENCH_fabric.json -gate-threshold $(GATE_THRESHOLD)
+	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMachineAccess -benchtime 1s -benchmem \
+		| $(GO) run ./cmd/benchjson -gate BENCH_directory.json -gate-threshold $(GATE_THRESHOLD)
 
 # Observability smoke runs: a Chrome trace and a Prometheus metrics dump
 # from the quickstart workload.

@@ -35,6 +35,10 @@ type Cache struct {
 	ways    int
 	// sampleShift: only lines with line % 2^sampleShift == 0 belong here.
 	sampleShift uint
+	// setMask is numSets-1 when numSets is a power of two (pow2), which
+	// turns the set-index modulo into a mask.
+	setMask uint64
+	pow2    bool
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -61,6 +65,8 @@ func New(capacityBytes int64, ways int, sampleShift uint) *Cache {
 		numSets:     sets,
 		ways:        ways,
 		sampleShift: sampleShift,
+		setMask:     uint64(sets - 1),
+		pow2:        sets&(sets-1) == 0,
 	}
 }
 
@@ -70,8 +76,13 @@ func (c *Cache) Sampled(line uint64) bool {
 }
 
 // setOf maps a sampled line to its set index. The sample bits are removed
-// first so sampled lines spread over all simulated sets.
+// first so sampled lines spread over all simulated sets. Power-of-two set
+// counts (every preset except SPR's 15-way slices) mask instead of
+// dividing; the two agree exactly there.
 func (c *Cache) setOf(line uint64) int {
+	if c.pow2 {
+		return int((line >> c.sampleShift) & c.setMask)
+	}
 	return int((line >> c.sampleShift) % uint64(c.numSets))
 }
 

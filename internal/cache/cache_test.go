@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -183,6 +184,43 @@ func TestSampledSetMapping(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSetIndexMatchesModulo: the set index equals (line>>shift) % numSets
+// on random sampled lines, for the power-of-two geometries that take the
+// mask path and for SPR's 15-way slices (28,672 sets at shift 0) that keep
+// the divide, across sample shifts 0-4.
+func TestSetIndexMatchesModulo(t *testing.T) {
+	geoms := []struct {
+		name  string
+		bytes int64
+		ways  int
+	}{
+		{"synthetic-l2", 8 << 10, 4},
+		{"synthetic-l3", 64 << 10, 8},
+		{"milan-l2", 512 << 10, 8},
+		{"milan-l3", 32 << 20, 16},
+		{"milan-l3-scale256", 128 << 10, 16},
+		{"spr-l2", 2 << 20, 16},
+		{"spr-l3", 105 << 20 / 4, 15},
+		{"spr-l3-scale256", 105 << 20 / 4 / 256, 15},
+		{"one-set", 64, 8},
+	}
+	r := rand.New(rand.NewPCG(1, 2))
+	for _, g := range geoms {
+		for shift := uint(0); shift <= 4; shift++ {
+			c := New(g.bytes, g.ways, shift)
+			if g.name == "spr-l3" && shift == 0 && (c.pow2 || c.Sets() != 28672) {
+				t.Fatalf("spr-l3: sets=%d pow2=%v, want 28672 sets on the divide path", c.Sets(), c.pow2)
+			}
+			for i := 0; i < 2000; i++ {
+				line := r.Uint64() >> shift << shift // sampled
+				if got, want := c.setOf(line), int((line>>shift)%uint64(c.Sets())); got != want {
+					t.Fatalf("%s shift %d: setOf(%#x) = %d, want %d", g.name, shift, line, got, want)
+				}
+			}
+		}
 	}
 }
 

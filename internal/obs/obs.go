@@ -556,22 +556,26 @@ func (r *Registry) EnableSampling(interval int64, maxSamples int) {
 
 // MaybeSample records a traced-metric snapshot when at least the sampling
 // interval has elapsed since the last one. Safe for concurrent use from
-// every worker: one caller wins the CAS, the rest return immediately. The
-// fast path (sampling off or not yet due) is two atomic loads.
+// every worker. The fast path (sampling off or not yet due) is lock-free
+// atomic loads; a due caller re-checks under histMu and records there, so
+// the decision and the append are one step and snapshots enter the
+// history in T order (a racing caller whose time is no longer due
+// returns false).
 func (r *Registry) MaybeSample(now int64) bool {
 	iv := r.sampleEvery.Load()
 	if iv <= 0 || !r.enabled.Load() {
 		return false
 	}
-	last := r.lastSample.Load()
-	if now-last < iv {
+	if now-r.lastSample.Load() < iv {
 		return false
 	}
-	if !r.lastSample.CompareAndSwap(last, now) {
-		return false
-	}
-	snap := r.snapshotTraced(now)
 	r.histMu.Lock()
+	if now-r.lastSample.Load() < iv {
+		r.histMu.Unlock()
+		return false
+	}
+	r.lastSample.Store(now)
+	snap := r.snapshotTraced(now)
 	if len(r.history) < r.histCap {
 		r.history = append(r.history, snap)
 	} else {

@@ -20,6 +20,10 @@ import (
 //	                holder transfer + ownership-upgrade invalidation per op.
 //	streamingmiss — a region far beyond L3 streamed sequentially: every
 //	                line misses everywhere, fills, and eventually evicts.
+//	crosschiplet  — perfbench fabric-stream's shape on a Synthetic(4,2)
+//	                machine: 32 KiB reads of an array the size of the
+//	                aggregate L3 from rotating cores, so most lines are
+//	                cache-to-cache fills and every fill evicts.
 func BenchmarkMachineAccess(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -29,6 +33,7 @@ func BenchmarkMachineAccess(b *testing.B) {
 			b.Run("readhot", func(b *testing.B) { benchReadHot(b, mode.noDir) })
 			b.Run("writeshared", func(b *testing.B) { benchWriteShared(b, mode.noDir) })
 			b.Run("streamingmiss", func(b *testing.B) { benchStreamingMiss(b, mode.noDir) })
+			b.Run("crosschiplet", func(b *testing.B) { benchCrossChiplet(b, mode.noDir) })
 		})
 	}
 }
@@ -89,5 +94,31 @@ func benchStreamingMiss(b *testing.B, noDir bool) {
 		if off >= size {
 			off = 0
 		}
+	}
+}
+
+// benchCrossChiplet: eight cores on four chiplets take turns reading the
+// chunks of a 256 KiB array (MLP 32). The core-to-chunk assignment shifts
+// every pass, so a chunk is usually read from a chiplet other than the one
+// that last filled it.
+func benchCrossChiplet(b *testing.B, noDir bool) {
+	m := New(Config{Topo: topology.Synthetic(4, 2), MLP: 32, NoDirectory: noDir})
+	const size = 256 << 10
+	const chunk = 32 << 10
+	const chunks = size / chunk
+	cores := m.Topo.NumCores()
+	region := m.Space.Alloc(size, mem.Interleave, 0)
+	read := func(i int, now int64) int64 {
+		core := topology.CoreID((i + i/chunks) % cores)
+		return m.Read(core, now, region+mem.Addr(i%chunks*chunk), chunk)
+	}
+	var now int64
+	for i := 0; i < chunks*cores; i++ { // warm: every core reads every chunk
+		now += read(i, now)
+	}
+	b.SetBytes(chunk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += read(i, now)
 	}
 }

@@ -70,7 +70,10 @@ const dirPageLines = 1 << dirPageShift
 const maxDirChiplets = 64
 
 // dirPage holds the presence bitmasks of dirPageLines consecutive lines.
+// key (line >> dirPageShift) is set at creation and never changes, so a
+// page pointer carries its own identity.
 type dirPage struct {
+	key   uint64
 	masks [dirPageLines]atomic.Uint64
 }
 
@@ -96,14 +99,19 @@ func newDirectory() *directory {
 	return d
 }
 
-// dirCache is a one-entry page cache owned by a single simulated core.
-// Pages are created once and live until reset, so a cached pointer stays
-// valid for the machine's whole run; Machine.FlushCaches clears the
-// caches together with the directory. It turns the per-access page lookup
-// into a key compare for the common case (consecutive or repeated lines).
+// dirCache is a one-entry page cache owned by a simulated core. Pages are
+// created once and live until reset, so a cached pointer stays valid for
+// the machine's whole run; Machine.FlushCaches clears the caches together
+// with the directory. It turns the per-access page lookup into a key
+// compare for the common case (consecutive or repeated lines).
+//
+// The entry is one atomic pointer and the key lives in the immutable page,
+// so a reader always sees a (key, page) pair that belongs together even
+// when two host goroutines briefly share a simulated core (the
+// host-scheduled engine allows that): the worst a racing refill can do is
+// replace the entry, never pair a key with another page's masks.
 type dirCache struct {
-	key  uint64
-	page *dirPage
+	p atomic.Pointer[dirPage]
 }
 
 // page returns the page covering line, creating it when create is set and
@@ -120,7 +128,7 @@ func (d *directory) page(line uint64, create bool) *dirPage {
 	}
 	s.mu.Lock()
 	if p = s.pages[pk]; p == nil {
-		p = new(dirPage)
+		p = &dirPage{key: pk}
 		s.pages[pk] = p
 	}
 	s.mu.Unlock()
@@ -130,13 +138,12 @@ func (d *directory) page(line uint64, create bool) *dirPage {
 // pageFor is page with a per-core cache in front: the hot path of every
 // directory operation that targets the line currently being accessed.
 func (d *directory) pageFor(line uint64, create bool, c *dirCache) *dirPage {
-	pk := line >> dirPageShift
-	if c.page != nil && c.key == pk {
-		return c.page
+	if p := c.p.Load(); p != nil && p.key == line>>dirPageShift {
+		return p
 	}
 	p := d.page(line, create)
 	if p != nil {
-		c.key, c.page = pk, p
+		c.p.Store(p)
 	}
 	return p
 }
@@ -152,11 +159,14 @@ func (d *directory) add(line uint64, ch int, c *dirCache) {
 	atomicOr(d.pageFor(line, true, c).slot(line), 1<<uint(ch))
 }
 
-// remove records that chiplet ch no longer holds line (eviction or
-// invalidation). Removing an absent bit is a no-op. Uncached: victims are
-// scattered lines, caching them would only thrash the caller's entry.
-func (d *directory) remove(line uint64, ch int) {
-	if p := d.page(line, false); p != nil {
+// remove records that chiplet ch no longer holds line (a capacity
+// eviction). Removing an absent bit is a no-op. c is the calling core's
+// victim page cache, kept apart from its lookup cache so victims never
+// thrash the entry of the line being accessed: streaming victims are the
+// previous sweep's lines and arrive page-sequential, so they mostly hit;
+// scattered victims miss and take the shard lookup.
+func (d *directory) remove(line uint64, ch int, c *dirCache) {
+	if p := d.pageFor(line, false, c); p != nil {
 		atomicAndNot(p.slot(line), 1<<uint(ch))
 	}
 }

@@ -11,29 +11,77 @@ import (
 	"charm/internal/topology"
 )
 
-// TestDirectoryMatchesScanState drives randomized access sequences and
-// repeatedly asserts the exactness invariant: the directory's presence
-// bitmask equals a brute-force scan of every chiplet's tag array, bit for
-// bit. The directory is a mirror, not an approximation.
+// accessOp is one Machine.Access call of a generated sequence.
+type accessOp struct {
+	core  topology.CoreID
+	off   int64
+	size  int64
+	write bool
+}
+
+// randomOps draws n accesses of 1-2048 bytes at uniform offsets of a
+// regionSize region from uniform cores, one in three a write.
+func randomOps(seed uint64, cores int, regionSize int64, n int) []accessOp {
+	s := seed
+	ops := make([]accessOp, n)
+	for i := range ops {
+		ops[i].core = topology.CoreID(rng.Intn(&s, cores))
+		ops[i].off = int64(rng.Uint64n(&s, uint64(regionSize-2048)))
+		ops[i].size = int64(rng.Uint64n(&s, 2048)) + 1
+		ops[i].write = rng.Uint64n(&s, 3) == 0
+	}
+	return ops
+}
+
+// streamOps is the eviction-heavy cross-chiplet stream: 32 KiB reads that
+// walk the region chunk by chunk, each chunk read by two chiplets in turn
+// (the second read is a cache-to-cache fill) while the chiplets rotate
+// (shifting by one every 2×chiplets ops, so the reading pairs vary across
+// quadrants and sockets). Every chiplet sweeps far more than its L3 and
+// evicts the previous sweep's lines page-sequentially. One op in eight is
+// a write.
+func streamOps(topo *topology.Topology, regionSize int64, n int) []accessOp {
+	const chunk = 32 << 10
+	chiplets, per := topo.NumChiplets(), topo.CoresPerChiplet
+	ops := make([]accessOp, n)
+	for k := range ops {
+		ops[k] = accessOp{
+			core:  topology.CoreID((k+k/(2*chiplets))%chiplets*per + k/chiplets%per),
+			off:   int64(k/2) * chunk % regionSize,
+			size:  chunk,
+			write: k%8 == 7,
+		}
+	}
+	return ops
+}
+
+// TestDirectoryMatchesScanState drives randomized and streaming access
+// sequences and repeatedly asserts the exactness invariant: the
+// directory's presence bitmask equals a brute-force scan of every
+// chiplet's tag array, bit for bit. The directory is a mirror, not an
+// approximation.
 func TestDirectoryMatchesScanState(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		topo  *topology.Topology
-		shift uint
+		name       string
+		topo       *topology.Topology
+		shift      uint
+		stream     bool
+		regionSize int64
 	}{
-		{"dual-2x4", topology.SyntheticDual(2, 4), 0},
-		{"wide-16x1", topology.Synthetic(16, 1), 0},
-		{"sampled", topology.SyntheticDual(2, 4), 2},
+		{"dual-2x4", topology.SyntheticDual(2, 4), 0, false, 1 << 16},
+		{"wide-16x1", topology.Synthetic(16, 1), 0, false, 1 << 16},
+		{"sampled", topology.SyntheticDual(2, 4), 2, false, 1 << 16},
+		{"stream-4x2", topology.Synthetic(4, 2), 0, true, 512 << 10},
+		{"stream-dual-sampled", topology.SyntheticDual(2, 4), 2, true, 512 << 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New(Config{Topo: tc.topo, SampleShift: tc.shift})
 			if m.dir == nil {
 				t.Fatal("directory must be enabled by default")
 			}
-			const regionSize = 1 << 16
-			region := m.Space.Alloc(regionSize, mem.Interleave, 0)
+			region := m.Space.Alloc(tc.regionSize, mem.Interleave, 0)
 			firstLine := uint64(region) >> cache.LineShift
-			lastLine := (uint64(region) + regionSize - 1) >> cache.LineShift
+			lastLine := (uint64(region) + uint64(tc.regionSize) - 1) >> cache.LineShift
 			check := func() {
 				t.Helper()
 				scratch := &dirCache{}
@@ -48,20 +96,25 @@ func TestDirectoryMatchesScanState(t *testing.T) {
 					}
 				}
 			}
-			s := uint64(0xC0FFEE)
-			cores := m.Topo.NumCores()
+			ops := randomOps(0xC0FFEE, m.Topo.NumCores(), tc.regionSize, 5000)
+			if tc.stream {
+				ops = streamOps(tc.topo, tc.regionSize, 240)
+			}
 			var now int64
-			for i := 0; i < 5000; i++ {
-				core := topology.CoreID(rng.Intn(&s, cores))
-				off := int64(rng.Uint64n(&s, regionSize-2048))
-				size := int64(rng.Uint64n(&s, 2048)) + 1
-				write := rng.Uint64n(&s, 3) == 0
-				now += m.Access(core, now, region+mem.Addr(off), size, write)
-				if i%500 == 499 {
+			var evictions int64
+			for i, op := range ops {
+				now += m.Access(op.core, now, region+mem.Addr(op.off), op.size, op.write)
+				if i%(len(ops)/10) == len(ops)/10-1 {
 					check()
 				}
 			}
 			check()
+			for ch := range m.l3 {
+				evictions += m.l3[ch].Evictions()
+			}
+			if tc.stream && evictions == 0 {
+				t.Fatal("stream case must evict")
+			}
 			m.FlushCaches()
 			if n := m.dir.lines(); n != 0 {
 				t.Fatalf("directory still tracks %d lines after FlushCaches", n)
@@ -70,57 +123,101 @@ func TestDirectoryMatchesScanState(t *testing.T) {
 	}
 }
 
-// TestDirectoryEquivalentToScan runs the identical randomized sequence on
-// a directory machine and a scan machine and requires identical per-access
+// TestDirectoryEquivalentToScan runs identical access sequences on a
+// directory machine and a scan machine and requires identical per-access
 // costs and identical PMU counters: the directory changes the complexity
-// of coherence lookups, never their outcome.
+// of coherence lookups, never their outcome. The stream case is the
+// eviction-heavy cross-chiplet stream, which exercises the victim page
+// cache and the chiplet-pair tables on every line.
 func TestDirectoryEquivalentToScan(t *testing.T) {
-	topo := topology.SyntheticDual(2, 4)
-	const regionSize = 1 << 16
-	const ops = 8000
-	run := func(noDir bool) ([]int64, [][]int64) {
-		m := New(Config{Topo: topo, NoDirectory: noDir})
-		if m.DirectoryEnabled() == noDir {
-			t.Fatalf("DirectoryEnabled() = %v with NoDirectory=%v", m.DirectoryEnabled(), noDir)
-		}
-		region := m.Space.Alloc(regionSize, mem.Interleave, 0)
-		s := uint64(7)
-		cores := m.Topo.NumCores()
-		var now int64
-		costs := make([]int64, 0, ops)
-		for i := 0; i < ops; i++ {
-			core := topology.CoreID(rng.Intn(&s, cores))
-			off := int64(rng.Uint64n(&s, regionSize-2048))
-			size := int64(rng.Uint64n(&s, 2048)) + 1
-			write := rng.Uint64n(&s, 3) == 0
-			c := m.Access(core, now, region+mem.Addr(off), size, write)
-			costs = append(costs, c)
-			now += c
-		}
-		counters := make([][]int64, cores)
-		for c := 0; c < cores; c++ {
-			counters[c] = make([]int64, pmu.NumEvents)
-			for e := 0; e < pmu.NumEvents; e++ {
-				counters[c][e] = m.PMU.Read(c, pmu.Event(e))
+	for _, tc := range []struct {
+		name       string
+		topo       *topology.Topology
+		mlp        int64
+		regionSize int64
+		ops        func(topo *topology.Topology, regionSize int64) []accessOp
+	}{
+		{"random", topology.SyntheticDual(2, 4), 0, 1 << 16, func(topo *topology.Topology, size int64) []accessOp {
+			return randomOps(7, topo.NumCores(), size, 8000)
+		}},
+		{"stream", topology.Synthetic(4, 2), 32, 512 << 10, func(topo *topology.Topology, size int64) []accessOp {
+			return streamOps(topo, size, 400)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ops := tc.ops(tc.topo, tc.regionSize)
+			run := func(noDir bool) ([]int64, [][]int64) {
+				m := New(Config{Topo: tc.topo, NoDirectory: noDir, MLP: tc.mlp})
+				if m.DirectoryEnabled() == noDir {
+					t.Fatalf("DirectoryEnabled() = %v with NoDirectory=%v", m.DirectoryEnabled(), noDir)
+				}
+				region := m.Space.Alloc(tc.regionSize, mem.Interleave, 0)
+				var now int64
+				costs := make([]int64, 0, len(ops))
+				for _, op := range ops {
+					c := m.Access(op.core, now, region+mem.Addr(op.off), op.size, op.write)
+					costs = append(costs, c)
+					now += c
+				}
+				cores := m.Topo.NumCores()
+				counters := make([][]int64, cores)
+				for c := 0; c < cores; c++ {
+					counters[c] = make([]int64, pmu.NumEvents)
+					for e := 0; e < pmu.NumEvents; e++ {
+						counters[c][e] = m.PMU.Read(c, pmu.Event(e))
+					}
+				}
+				return costs, counters
 			}
-		}
-		return costs, counters
-	}
-	dirCosts, dirPMU := run(false)
-	scanCosts, scanPMU := run(true)
-	for i := range dirCosts {
-		if dirCosts[i] != scanCosts[i] {
-			t.Fatalf("access %d: directory cost %d != scan cost %d", i, dirCosts[i], scanCosts[i])
-		}
-	}
-	for c := range dirPMU {
-		for e := range dirPMU[c] {
-			if dirPMU[c][e] != scanPMU[c][e] {
-				t.Fatalf("core %d event %v: directory %d != scan %d",
-					c, pmu.Event(e), dirPMU[c][e], scanPMU[c][e])
+			dirCosts, dirPMU := run(false)
+			scanCosts, scanPMU := run(true)
+			for i := range dirCosts {
+				if dirCosts[i] != scanCosts[i] {
+					t.Fatalf("access %d: directory cost %d != scan cost %d", i, dirCosts[i], scanCosts[i])
+				}
 			}
-		}
+			for c := range dirPMU {
+				for e := range dirPMU[c] {
+					if dirPMU[c][e] != scanPMU[c][e] {
+						t.Fatalf("core %d event %v: directory %d != scan %d",
+							c, pmu.Event(e), dirPMU[c][e], scanPMU[c][e])
+					}
+				}
+			}
+		})
 	}
+}
+
+// TestDirCacheSharedIsTearProof: two goroutines share one page cache —
+// two host workers briefly running on one simulated core — and alternate
+// between pages. Every page the cache hands back must be the registry's
+// page for the requested line and its key must cover that line; a cache
+// of two plain words could pair one page's key with another's masks. Run
+// under -race (make verify does) it also proves the entry is race-free.
+func TestDirCacheSharedIsTearProof(t *testing.T) {
+	d := newDirectory()
+	var c dirCache
+	iters := 20000
+	if testing.Short() {
+		iters = 2000
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				pk := uint64(2*(i%4) + g) // goroutine g walks its own pages
+				line := pk<<dirPageShift | uint64(i)%dirPageLines
+				p := d.pageFor(line, true, &c)
+				if p.key != line>>dirPageShift || p != d.page(line, false) {
+					t.Errorf("goroutine %d: line %#x got page with key %#x", g, line, p.key)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // conflictEvict fills victim's L3 set from core filler until victim's line

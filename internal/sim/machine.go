@@ -59,6 +59,8 @@ type Config struct {
 // Machine is a simulated chiplet server. All methods are safe for
 // concurrent use by one goroutine per simulated core.
 type Machine struct {
+	// Topo is the machine layout. New validates it and derives the
+	// chiplet-pair tables from it, so it must not be mutated afterwards.
 	Topo   *topology.Topology
 	Space  *mem.Space
 	DRAM   *mem.DRAM
@@ -67,6 +69,16 @@ type Machine struct {
 
 	l2 []*cache.Cache // per core
 	l3 []*cache.Cache // per chiplet
+
+	// l3Lat and fillEv are the chiplet-pair tables, n×n row-major by
+	// (reader chiplet a, holder chiplet b): l3Lat[a*n+b] is
+	// Topo.L3HitLatency(FirstCoreOf(a), b) and fillEv[a*n+b] the PMU fill
+	// event of a cache-to-cache transfer from b to a reader on a, derived
+	// from Topo.ClassOf. Both functions depend on the reader core only
+	// through its chiplet, so one row serves every core of a chiplet and
+	// the per-line path does no topology arithmetic.
+	l3Lat  []int64
+	fillEv []pmu.Event
 
 	// dir is the coherence directory mirroring L3 presence (the IOD
 	// probe filter). nil selects broadcast tag-array scans — only when
@@ -83,8 +95,11 @@ type Machine struct {
 	accMilli []int64
 
 	// avg holds per-core scratch state — the EWMA cost of recent sampled
-	// line accesses (charged to unsampled lines) and the core's directory
-	// page cache. Owner-core access only; padded against false sharing.
+	// line accesses (charged to unsampled lines) and the core's two
+	// directory page caches. Owner-core access, except that two
+	// host-scheduled workers can briefly share a core: the page caches
+	// are tear-proof, and a racing EWMA update only perturbs a cost
+	// estimate. Padded against false sharing.
 	avg []coreScratch
 
 	// faults is the compiled fault plan armed via SetFaultPlan (nil = a
@@ -108,9 +123,10 @@ func (m *Machine) SetFaultPlan(p *fault.Plan) {
 func (m *Machine) FaultPlan() *fault.Plan { return m.faults }
 
 type coreScratch struct {
-	v   int64
-	dir dirCache
-	_   [64 - 8 - 16]byte
+	v      int64
+	dir    dirCache // page of the line being accessed
+	victim dirCache // page of the last L3 capacity victim
+	_      [64 - 8 - 8 - 8]byte
 }
 
 // New builds a Machine. It panics on an invalid topology, which indicates a
@@ -148,7 +164,17 @@ func New(cfg Config) *Machine {
 	for i := range m.l3 {
 		m.l3[i] = cache.New(t.L3PerChiplet, t.L3Ways, cfg.SampleShift)
 	}
-	if !cfg.NoDirectory && t.NumChiplets() <= maxDirChiplets {
+	n := t.NumChiplets()
+	m.l3Lat = make([]int64, n*n)
+	m.fillEv = make([]pmu.Event, n*n)
+	for a := 0; a < n; a++ {
+		reader := t.FirstCoreOf(topology.ChipletID(a))
+		for b := 0; b < n; b++ {
+			m.l3Lat[a*n+b] = t.L3HitLatency(reader, topology.ChipletID(b))
+			m.fillEv[a*n+b] = remoteFillEvent(t.ClassOf(reader, t.FirstCoreOf(topology.ChipletID(b))))
+		}
+	}
+	if !cfg.NoDirectory && n <= maxDirChiplets {
 		m.dir = newDirectory()
 	}
 	if t.Heterogeneous() {
@@ -161,6 +187,19 @@ func New(cfg Config) *Machine {
 		m.avg[i].v = scaleAccess(t.Cost.L2Hit, m.coreAccMilli(topology.CoreID(i)))
 	}
 	return m
+}
+
+// remoteFillEvent maps the latency class of a cache-to-cache transfer to
+// its PMU fill event.
+func remoteFillEvent(c topology.LatencyClass) pmu.Event {
+	switch c {
+	case topology.InterChipletNear:
+		return pmu.FillL3RemoteNear
+	case topology.InterChipletFar:
+		return pmu.FillL3RemoteFar
+	default:
+		return pmu.FillL3RemoteSocket
+	}
 }
 
 // coreAccMilli returns the access-cost multiplier of the chiplet hosting
@@ -354,7 +393,8 @@ func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr me
 	ch := topo.ChipletOf(core)
 	l3 := m.l3[ch]
 	l2 := m.l2[core]
-	sc := &m.avg[core].dir
+	s := &m.avg[core]
+	sc := &s.dir
 	xfer := int64(cache.LineSize) * m.sampleFactor
 
 	// pipelined divides a latency by MLP for non-leading lines of a
@@ -402,20 +442,13 @@ func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr me
 	}
 
 	// Local miss: find the topologically closest chiplet holding the line.
-	holder, lat := m.closestHolder(core, ch, line, sc)
+	holder, lat := m.closestHolder(ch, line, sc)
 	var cost int64
 	var ev pmu.Event
 	if holder >= 0 {
 		q := m.Fabric.ChargeTransfer(topology.ChipletID(holder), ch, t, xfer)
 		cost = pipelined(lat) + q
-		switch topo.ClassOf(core, topo.FirstCoreOf(topology.ChipletID(holder))) {
-		case topology.InterChipletNear:
-			ev = pmu.FillL3RemoteNear
-		case topology.InterChipletFar:
-			ev = pmu.FillL3RemoteFar
-		default:
-			ev = pmu.FillL3RemoteSocket
-		}
+		ev = m.fillEv[int(ch)*len(m.l3)+holder]
 		if write {
 			cost += invalidationCost(m.invalidateOthers(ch, line, sc))
 		}
@@ -430,7 +463,7 @@ func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr me
 			ev = pmu.FillDRAMRemote
 		}
 	}
-	m.insertL3(ch, l3, line, t, sc)
+	m.insertL3(ch, l3, line, t, s)
 	if l2 != nil {
 		l2.Insert(line, t)
 	}
@@ -451,16 +484,17 @@ func (m *Machine) l3Holds(ch topology.ChipletID, line uint64, sc *dirCache) bool
 // the inserted line gains ch's presence bit and the capacity victim (if
 // any) loses it. This is the eviction-notification plumbing — the
 // (evicted, ok) return of cache.Insert is what lets the directory observe
-// capacity evictions at all.
-func (m *Machine) insertL3(ch topology.ChipletID, l3 *cache.Cache, line uint64, t int64, sc *dirCache) {
+// capacity evictions at all. s holds the filling core's page caches: the
+// lookup cache for line and the victim cache for the evicted line.
+func (m *Machine) insertL3(ch topology.ChipletID, l3 *cache.Cache, line uint64, t int64, s *coreScratch) {
 	evicted, ok := l3.Insert(line, t)
 	if m.dir == nil {
 		return
 	}
 	if ok {
-		m.dir.remove(evicted, int(ch))
+		m.dir.remove(evicted, int(ch), &s.victim)
 	}
-	m.dir.add(line, int(ch), sc)
+	m.dir.add(line, int(ch), &s.dir)
 }
 
 // closestHolder finds the cached copy of line with the lowest transfer
@@ -468,7 +502,10 @@ func (m *Machine) insertL3(ch topology.ChipletID, l3 *cache.Cache, line uint64, 
 // it walks only the set bits of the presence mask; in scan mode it
 // broadcast-probes every chiplet's tag array. Ties resolve to the lowest
 // chiplet id in both modes (bits iterate LSB-first, the scan ascends).
-func (m *Machine) closestHolder(core topology.CoreID, self topology.ChipletID, line uint64, sc *dirCache) (int, int64) {
+// Latencies come from self's row of the chiplet-pair table.
+func (m *Machine) closestHolder(self topology.ChipletID, line uint64, sc *dirCache) (int, int64) {
+	n := len(m.l3)
+	row := m.l3Lat[int(self)*n : int(self)*n+n]
 	best := -1
 	var bestLat int64
 	if m.dir != nil {
@@ -476,8 +513,7 @@ func (m *Machine) closestHolder(core topology.CoreID, self topology.ChipletID, l
 		for mask != 0 {
 			i := bits.TrailingZeros64(mask)
 			mask &= mask - 1
-			lat := m.Topo.L3HitLatency(core, topology.ChipletID(i))
-			if best < 0 || lat < bestLat {
+			if lat := row[i]; best < 0 || lat < bestLat {
 				best, bestLat = i, lat
 			}
 		}
@@ -487,8 +523,7 @@ func (m *Machine) closestHolder(core topology.CoreID, self topology.ChipletID, l
 		if topology.ChipletID(i) == self || !m.l3[i].Contains(line) {
 			continue
 		}
-		lat := m.Topo.L3HitLatency(core, topology.ChipletID(i))
-		if best < 0 || lat < bestLat {
+		if lat := row[i]; best < 0 || lat < bestLat {
 			best, bestLat = i, lat
 		}
 	}
@@ -543,7 +578,8 @@ func (m *Machine) FlushCaches() {
 	}
 	for i := range m.avg {
 		m.avg[i].v = scaleAccess(m.Topo.Cost.L2Hit, m.coreAccMilli(topology.CoreID(i)))
-		m.avg[i].dir = dirCache{}
+		m.avg[i].dir.p.Store(nil)
+		m.avg[i].victim.p.Store(nil)
 	}
 }
 

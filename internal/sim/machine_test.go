@@ -293,3 +293,50 @@ func TestStreamingCheaperThanRandom(t *testing.T) {
 		t.Errorf("streamed read (%d) should be well under serialized reads (%d)", streamed, single)
 	}
 }
+
+// TestPairTablesMatchTopology checks every entry of the chiplet-pair
+// tables against the topology functions they replace on the access path,
+// for every (core, holder chiplet) pair: every preset, and every topo-spec
+// preset plus a two-socket heterogeneous spec.
+func TestPairTablesMatchTopology(t *testing.T) {
+	topos := map[string]*topology.Topology{
+		"milan":         topology.AMDMilan7713x2(),
+		"milan-nps4":    topology.AMDMilanNPS4(),
+		"spr":           topology.IntelSPR8488Cx2(),
+		"synthetic":     topology.Synthetic(4, 2),
+		"synthetic-odd": topology.Synthetic(5, 3),
+		"dual":          topology.SyntheticDual(2, 4),
+	}
+	specs := append(topology.PresetNames(), "mesh:2x3,fast=4,eff=6,accel=2,cores=3,sockets=2")
+	for _, name := range specs {
+		sp, err := topology.ParseTopoSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := sp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		topos[name] = topo
+	}
+	for name, topo := range topos {
+		// Scaling shrinks only the caches (and the test's footprint); the
+		// tables depend on the layout and the cost model.
+		m := New(Config{Topo: topo.Scaled(256)})
+		n := topo.NumChiplets()
+		for c := 0; c < topo.NumCores(); c++ {
+			core := topology.CoreID(c)
+			a := int(topo.ChipletOf(core))
+			for b := 0; b < n; b++ {
+				holder := topology.ChipletID(b)
+				if got, want := m.l3Lat[a*n+b], topo.L3HitLatency(core, holder); got != want {
+					t.Fatalf("%s: core %d holder %d: table latency %d, L3HitLatency %d", name, c, b, got, want)
+				}
+				want := remoteFillEvent(topo.ClassOf(core, topo.FirstCoreOf(holder)))
+				if got := m.fillEv[a*n+b]; got != want {
+					t.Fatalf("%s: core %d holder %d: table event %v, ClassOf event %v", name, c, b, got, want)
+				}
+			}
+		}
+	}
+}
