@@ -20,7 +20,8 @@ STATICCHECK_VERSION ?= 2025.1.1
 # the full test suite, the race detector on the concurrency-heavy
 # packages (the sharded metrics registry, the runtime core, the per-link
 # fabric charging, the lock-free cache tag arrays and the memory token
-# buckets), the simulator stress test that hammers Machine.Access from
+# buckets, plus the job service's neighbours: admission, tenant, placement
+# and power planes), the simulator stress test that hammers Machine.Access from
 # one goroutine per core (exercises the coherence directory and the
 # lock-free tag arrays under -race) next to the test that shares one
 # directory page cache between two goroutines, and a short fuzz pass
@@ -34,7 +35,8 @@ verify:
 	fi
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/... ./internal/cache/... ./internal/mem/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/... ./internal/cache/... ./internal/mem/... \
+		./internal/admit/... ./internal/tenant/... ./internal/place/... ./internal/power/...
 	$(GO) test -race -run 'TestMachineAccessRaceStress|TestDirCacheSharedIsTearProof' ./internal/sim/
 	$(GO) test -race -count=2 -run TestPowerReplayBitIdentical ./internal/core/
 	$(GO) test -race -count=2 -run TestTenantIsolationReplay ./internal/core/

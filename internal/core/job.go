@@ -58,9 +58,9 @@ type JobSpec struct {
 	// Coro runs the job's tasks as suspendable coroutines (cancellation
 	// points at every Yield).
 	Coro bool
-	// Tenant routes the job to a configured tenant on a multi-tenant
-	// service (empty selects the first tenant). Ignored — and must stay
-	// empty — on a single-tenant service.
+	// Tenant routes the job to a declared tenant (empty selects the
+	// first). Ignored on a service without declared tenants, whose jobs
+	// all belong to its one implicit tenant.
 	Tenant string
 	// Prefer is the preferred chiplet kind for the job's stages on a
 	// heterogeneous machine (zero = KindAny = no preference). It is a
@@ -135,7 +135,7 @@ type Job struct {
 	started  int64        // dispatch time (set before state flips to Running)
 	finished atomic.Int64 // completion time (any terminal state)
 	stage    int          // next stage to dispatch; guarded by svc.mu
-	ten      int          // tenant index (-1 = single-tenant service)
+	ten      int          // index into svc.tens (0 without declared tenants)
 
 	// Trace bookkeeping for the currently running stage (guarded by
 	// svc.mu): dispatch time, index, and task count — the SpanStage
@@ -163,14 +163,9 @@ func (j *Job) Priority() int { return j.spec.Priority }
 // State returns the job's current lifecycle state.
 func (j *Job) State() JobState { return JobState(j.state.Load()) }
 
-// Tenant returns the owning tenant's name ("" on a single-tenant
-// service).
-func (j *Job) Tenant() string {
-	if j.ten >= 0 && j.svc != nil && j.ten < len(j.svc.tens) {
-		return j.svc.tens[j.ten].spec.Name
-	}
-	return ""
-}
+// Tenant returns the owning tenant's name ("" on a service without
+// declared tenants).
+func (j *Job) Tenant() string { return j.svc.tens[j.ten].spec.Name }
 
 // Arrival returns the virtual arrival time.
 func (j *Job) Arrival() int64 { return j.arrival }
@@ -262,15 +257,17 @@ const (
 
 // JobServiceOptions configure ServeJobs.
 type JobServiceOptions struct {
-	// QueueCapacity bounds the admission queue (0 = 1024).
+	// QueueCapacity bounds the admission queue (0 = 1024); with Tenants
+	// set it is the default for tenants that declare no queue capacity.
 	QueueCapacity int
 	// MaxInFlight bounds concurrently running jobs (0 = 2×workers).
 	MaxInFlight int
 	// Policy selects the backpressure policy for a full queue (and, for
-	// Shed, deadline-aware dropping). Default admit.Block.
+	// Shed, deadline-aware dropping). Default admit.Block. Ignored with
+	// Tenants set: each tenant declares its own.
 	Policy admit.Policy
 	// Source is the open-loop arrival stream (nil = external SubmitJob
-	// only).
+	// only). Mutually exclusive with Tenants, which carry their own.
 	Source JobSource
 	// Breakers enables per-chiplet circuit breakers.
 	Breakers bool
@@ -294,10 +291,12 @@ type JobServiceOptions struct {
 	SLO map[int]float64
 	// SLOBurn tunes the burn-rate windows (zero fields select defaults).
 	SLOBurn obs.BurnConfig
-	// Tenants enables the multi-tenant isolation plane: one admission
-	// queue, token bucket, and service-time estimator per tenant, a
-	// deficit-round-robin dispatch mux weighted by each tenant's share,
-	// and elastic chiplet-group leases with a guaranteed quota floor.
+	// Tenants declares the tenants of the multi-tenant isolation plane:
+	// one admission queue, token bucket, and service-time estimator per
+	// tenant, a deficit-round-robin dispatch mux weighted by each tenant's
+	// share, and elastic chiplet-group leases with a guaranteed quota
+	// floor. Empty runs the service as one implicit tenant (weight 1, no
+	// rate limit, no leases) built from Policy, QueueCapacity and Source.
 	// Mutually exclusive with Source (each tenant carries its own);
 	// tenant quotas must not oversubscribe the machine's chiplets.
 	Tenants []TenantConfig
@@ -343,13 +342,8 @@ type JobService struct {
 	nextWork atomic.Int64
 
 	mu  sync.Mutex
-	q   *admit.Queue
-	est *admit.Estimator
 	brk *admit.Set // nil when breakers are off
 
-	// Arrival cursor: the next pending arrival pulled from Source.
-	pending   *Job
-	srcOK     bool
 	seq       uint64
 	rr        int // round-robin dispatch cursor
 	inflight  int
@@ -377,8 +371,9 @@ type JobService struct {
 	obsMilli   []int64
 	everServed bool
 
-	// Multi-tenant isolation plane (all nil/empty on a single-tenant
-	// service; immutable after ServeJobs, contents guarded by mu).
+	// Tenant plane: the declared tenants, or the one implicit tenant of a
+	// service without any (immutable after ServeJobs, contents guarded by
+	// mu). leases is nil exactly when no tenant was declared.
 	tens    []*tenantRt
 	tenIdx  map[string]int
 	drr     *tenant.DRR
@@ -399,7 +394,11 @@ type JobService struct {
 
 // ServeJobs installs an open-loop job service on the runtime. At most one
 // service per runtime; a second call returns an error. May be called
-// before or after Start, but not after Stop.
+// before or after Start, but not after Stop. On a started deterministic
+// runtime it pauses the fleet while installing, so the service's first
+// pump does not depend on how many idle turns the fleet took before the
+// call: a Source-driven run replays identically however long the host
+// took to get here.
 func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 	if rt.lifecycle.Load() == lcStopped {
 		return nil, ErrFinalized
@@ -423,8 +422,6 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 	s := &JobService{
 		rt:        rt,
 		opts:      opts,
-		q:         admit.NewQueue(opts.QueueCapacity, opts.Policy),
-		est:       admit.NewEstimator(opts.EstQuantile, opts.EstMinSamples),
 		drained:   make(chan struct{}),
 		maxDepth:  make([]int64, nch),
 		latByPrio: map[int]*obs.Histogram{},
@@ -456,15 +453,17 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 		s.sloBurn = map[int]*obs.Gauge{}
 	}
 	s.thermMilli = 1000
-	if len(opts.Tenants) > 0 {
-		if err := s.setupTenants(opts.Tenants); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Source != nil {
-		s.advanceSource()
+	if err := s.setupTenants(opts.Tenants); err != nil {
+		return nil, err
 	}
 	s.updateNextWorkLocked()
+	// Every idle turn moves the lockstep's round-robin tie-break, and
+	// resume resets it. Before Start the fleet has not checked in: a pause
+	// would wait forever, and no turn has moved the tie-break yet.
+	if rt.ls != nil && rt.lifecycle.Load() == lcStarted {
+		rt.ls.pause()
+		defer rt.ls.resume()
+	}
 	if !rt.svc.CompareAndSwap(nil, s) {
 		return nil, fmt.Errorf("core: runtime already serves jobs")
 	}
@@ -545,13 +544,6 @@ func (s *JobService) Jobs() []*Job {
 	return append([]*Job(nil), s.jobs...)
 }
 
-// QueueLen returns the current admission-queue length.
-func (s *JobService) QueueLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.q.Len()
-}
-
 // BreakerState returns chiplet ch's breaker state (Closed with breakers
 // disabled).
 func (s *JobService) BreakerState(ch int) admit.BreakerState {
@@ -602,21 +594,6 @@ func (s *JobService) Drain() {
 	<-s.drained
 }
 
-// advanceSource pulls the next arrival from the source into the pending
-// cursor. Caller holds mu (or is still constructing the service).
-func (s *JobService) advanceSource() {
-	at, spec, ok := s.opts.Source.Next()
-	if !ok {
-		s.pending, s.srcOK = nil, false
-		return
-	}
-	if err := validateSpec(&spec); err != nil {
-		panic(err) // a source generating invalid specs is a programming error
-	}
-	s.srcOK = true
-	s.pending = s.newJobLocked(at, spec)
-}
-
 func (s *JobService) newJobLocked(arrival int64, spec JobSpec) *Job {
 	s.seq++
 	j := &Job{
@@ -624,7 +601,6 @@ func (s *JobService) newJobLocked(arrival int64, spec JobSpec) *Job {
 		spec:    spec,
 		svc:     s,
 		arrival: arrival,
-		ten:     -1,
 		done:    make(chan struct{}),
 	}
 	if spec.Deadline > 0 {
@@ -637,66 +613,19 @@ func (s *JobService) newJobLocked(arrival int64, spec JobSpec) *Job {
 // admitLocked runs the admission decision for a job arriving at time at.
 // Returns the job handle and the typed refusal error, if any.
 func (s *JobService) admitLocked(at int64, spec JobSpec) (*Job, error) {
-	if s.tens != nil {
-		i, err := s.tenantOf(&spec)
-		if err != nil {
-			return nil, err
-		}
-		j := s.newJobLocked(at, spec)
-		j.ten = i
-		// A synchronous submission cannot be held upstream: a token-bucket
-		// miss refuses it outright under the tenant's policy.
-		if !s.tens[i].bucket.Take(at) {
-			s.rateLimitLocked(s.tens[i], j, at)
-			return j, ErrRateLimited
-		}
-		return j, s.offerTenantLocked(j)
+	i, err := s.tenantOf(&spec)
+	if err != nil {
+		return nil, err
 	}
 	j := s.newJobLocked(at, spec)
-	return j, s.offerLocked(j)
-}
-
-// offerLocked presents job j to the admission queue.
-func (s *JobService) offerLocked(j *Job) error {
-	s.stats.Submitted++
-	m := s.rt.met
-	est := s.est.Estimate(j.spec.Cost)
-	if s.q.Policy() == admit.Shed && s.thermMilli > 1000 {
-		est = est * s.thermMilli / 1000
+	j.ten = i
+	// A synchronous submission cannot be held upstream: a token-bucket
+	// miss refuses it outright under the tenant's policy.
+	if !s.tens[i].bucket.Take(at) {
+		s.rateLimitLocked(s.tens[i], j, at)
+		return j, ErrRateLimited
 	}
-	evicted, err := s.q.Offer(j.arrival, admit.Entry{
-		Seq:      j.id,
-		Priority: j.spec.Priority,
-		Arrival:  j.arrival,
-		Deadline: j.deadline,
-		Est:      est,
-		Payload:  j,
-	})
-	if evicted != nil {
-		v := evicted.Payload.(*Job)
-		s.stats.Shed++
-		m.jobsShed.Add(0, 1)
-		s.finalizeLocked(v, JobShed, j.arrival)
-	}
-	switch {
-	case err == nil:
-		s.stats.Admitted++
-		m.jobsAdmitted.Add(0, 1)
-		if n := s.q.Len(); n > s.stats.MaxQueue {
-			s.stats.MaxQueue = n
-		}
-		m.jobQueueDepth.Set(0, int64(s.q.Len()))
-		return nil
-	case err == admit.ErrHopeless:
-		s.stats.Shed++
-		m.jobsShed.Add(0, 1)
-		s.finalizeLocked(j, JobShed, j.arrival)
-	default: // ErrQueueFull, ErrWouldBlock
-		s.stats.Rejected++
-		m.jobsRejected.Add(0, 1)
-		s.finalizeLocked(j, JobRejected, j.arrival)
-	}
-	return err
+	return j, s.offerTenantLocked(j)
 }
 
 // finalizeLocked moves j to a terminal state at virtual time now.
@@ -752,25 +681,35 @@ func (s *JobService) finalizeLocked(j *Job, st JobState, now int64) {
 	}
 }
 
-// updateNextWorkLocked recomputes the pump wake-up time. Caller holds mu.
+// updateNextWorkLocked recomputes the pump wake-up time: the earliest of
+// a dispatchable backlog (now), the earliest decidable pending arrival —
+// pushed out to its token-maturity time when the rate limiter holds it
+// upstream — and the next evaluation tick. Caller holds mu.
 func (s *JobService) updateNextWorkLocked() {
-	if s.tens != nil {
-		s.updateNextWorkTenantsLocked()
-		return
-	}
 	next := int64(math.MaxInt64)
-	if s.q.Len() > 0 && s.inflight < s.opts.MaxInFlight {
-		next = 0 // dispatchable right now
-	}
-	if s.pending != nil && (s.q.Len() < s.q.Cap() || s.q.Policy() != admit.Block) {
-		// The pending arrival can be decided at its arrival time. A
-		// Block-policy arrival facing a full queue waits for space, which
-		// only a dispatch or completion (nextWork=0 paths) can create.
-		if s.pending.arrival < next {
-			next = s.pending.arrival
+	backlog := 0
+	anyPend := false
+	for _, tr := range s.tens {
+		backlog += tr.q.Len()
+		if tr.pending == nil {
+			continue
+		}
+		anyPend = true
+		if tr.spec.Policy == admit.Block && tr.q.Len() >= tr.q.Cap() {
+			continue // waits for dispatch to free queue space
+		}
+		t := tr.pending.arrival
+		if tr.bucketAt > t {
+			t = tr.bucketAt
+		}
+		if t < next {
+			next = t
 		}
 	}
-	if s.inflight > 0 || s.q.Len() > 0 || s.srcOK {
+	if backlog > 0 && s.inflight < s.opts.MaxInFlight {
+		next = 0
+	}
+	if s.inflight > 0 || backlog > 0 || anyPend {
 		if due := s.lastEval + s.opts.EvalInterval; due < next {
 			next = due
 		}
@@ -780,18 +719,12 @@ func (s *JobService) updateNextWorkLocked() {
 
 // checkDrainedLocked closes the drained channel once nothing is pending.
 func (s *JobService) checkDrainedLocked() {
-	if s.tens != nil {
-		for _, tr := range s.tens {
-			if tr.srcOK || tr.pending != nil || tr.q.Len() > 0 {
-				return
-			}
+	for _, tr := range s.tens {
+		if tr.pending != nil || tr.q.Len() > 0 {
+			return
 		}
-		if s.inflight == 0 && s.everServed {
-			s.drainOnce.Do(func() { close(s.drained) })
-		}
-		return
 	}
-	if !s.srcOK && s.pending == nil && s.q.Len() == 0 && s.inflight == 0 && s.everServed {
+	if s.inflight == 0 && s.everServed {
 		s.drainOnce.Do(func() { close(s.drained) })
 	}
 }
@@ -808,103 +741,14 @@ func (w *Worker) pumpJobs() bool {
 	if s.nextWork.Load() > now {
 		return false
 	}
-	return s.pump(w, now)
+	return s.pump(now)
 }
 
-func (s *JobService) pump(w *Worker, now int64) bool {
+func (s *JobService) pump(now int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	did := false
 	s.everServed = true
-	if s.tens != nil {
-		did = s.pumpTenants(now)
-		s.updateNextWorkLocked()
-		s.checkDrainedLocked()
-		return did
-	}
-
-	// 1. Admit every arrival due by now. A Block-policy arrival that
-	// finds the queue full stays in the pending cursor — held upstream —
-	// and re-offers when space frees.
-	for s.pending != nil && s.pending.arrival <= now {
-		j := s.pending
-		if s.q.Policy() == admit.Block && s.q.Len() == s.q.Cap() {
-			break
-		}
-		err := s.offerLocked(j)
-		if err == admit.ErrWouldBlock {
-			break
-		}
-		did = true
-		if s.opts.Source != nil {
-			s.advanceSource()
-		} else {
-			s.pending, s.srcOK = nil, false
-		}
-	}
-
-	// 2. Periodic evaluation: per-chiplet queue-depth high-water marks,
-	// plus breaker state from fault-plan and observed slowdown.
-	if now-s.lastEval >= s.opts.EvalInterval {
-		s.evalLocked(now)
-		s.evalSLOLocked(now)
-		did = true
-	}
-
-	// 3. Dispatch while capacity allows.
-	for s.inflight < s.opts.MaxInFlight {
-		e, ok := s.q.Pop()
-		if !ok {
-			break
-		}
-		did = true
-		s.rt.met.jobQueueDepth.Set(0, int64(s.q.Len()))
-		j := e.Payload.(*Job)
-		m := s.rt.met
-		if j.cancelled.Load() {
-			s.stats.Cancelled++
-			m.jobsCancelled.Add(0, 1)
-			s.finalizeLocked(j, JobCancelled, now)
-			continue
-		}
-		if s.q.Policy() == admit.Shed {
-			// Dispatch-time re-check: the queueing delay may have consumed
-			// the budget since admission.
-			if j.deadline != 0 && j.deadline <= now {
-				s.stats.Expired++
-				m.jobsExpired.Add(0, 1)
-				s.finalizeLocked(j, JobExpired, now)
-				continue
-			}
-			est := s.est.Estimate(j.spec.Cost)
-			if s.thermMilli > 1000 {
-				est = est * s.thermMilli / 1000
-			}
-			if j.deadline != 0 && j.deadline-now < est {
-				s.stats.Shed++
-				m.jobsShed.Add(0, 1)
-				s.finalizeLocked(j, JobShed, now)
-				continue
-			}
-		}
-		s.startLocked(j, now)
-	}
-
-	// A Block-policy arrival may have been waiting on the space the
-	// dispatch loop just created.
-	for s.pending != nil && s.pending.arrival <= now && s.q.Len() < s.q.Cap() {
-		j := s.pending
-		if s.offerLocked(j) == admit.ErrWouldBlock {
-			break
-		}
-		did = true
-		if s.opts.Source != nil {
-			s.advanceSource()
-		} else {
-			s.pending, s.srcOK = nil, false
-		}
-	}
-
+	did := s.pumpTenants(now)
 	s.updateNextWorkLocked()
 	s.checkDrainedLocked()
 	return did
@@ -929,9 +773,9 @@ func (s *JobService) evalLocked(now int64) {
 		}
 	}
 	// Pre-cliff shedding pressure from the thermal forecast, then lease
-	// arbitration (both are no-ops without a power plane / tenants).
+	// arbitration (no-ops without a power plane / declared tenants).
 	s.updateThermLocked()
-	if s.tens != nil {
+	if s.leases != nil {
 		s.evalTenantsLocked(now)
 	}
 	if s.brk == nil {
@@ -1020,9 +864,7 @@ func (s *JobService) startLocked(j *Job, now int64) {
 	j.started = now
 	j.state.Store(int32(JobRunning))
 	s.inflight++
-	if t := s.tenantRtOf(j); t != nil {
-		t.inflight++
-	}
+	s.tens[j.ten].inflight++
 	prio := clampPrio(j.spec.Priority)
 	h, ok := s.qwByPrio[prio]
 	if !ok {
@@ -1076,12 +918,13 @@ func (s *JobService) dispatchStageLocked(j *Job, now int64) {
 // The breaker's Allow remains the authoritative admission gate: it is
 // consulted (and its half-open probe budget consumed) per stage here.
 //
-// On a multi-tenant service (ten >= 0) the candidate walk is restricted
-// to the tenant's leased chiplets first: a bursting tenant stacks its own
-// lease's queues instead of its neighbors'. Only when the lease yields no
-// admissible live worker at all (every leased chiplet died or is breaker-
-// refused between rebalances) does the walk fall back to the whole
-// machine — isolation never starves a compliant tenant.
+// When the job's tenant holds leases (declared tenants only) the
+// candidate walk is restricted to its leased chiplets first: a bursting
+// tenant stacks its own lease's queues instead of its neighbors'. Only
+// when the lease yields no admissible live worker at all (every leased
+// chiplet died or is breaker-refused between rebalances) does the walk
+// fall back to the whole machine — isolation never starves a compliant
+// tenant.
 //
 // When the job prefers a chiplet kind (kind != KindAny) on a
 // heterogeneous machine, matching-kind chiplets are moved to the front
@@ -1116,29 +959,20 @@ func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.C
 			chs = append(ordered, rest...)
 		}
 	}
-	var cand []int
-	if ten >= 0 && s.leases != nil && s.leases.Held(ten) > 0 {
-		for _, ch := range chs {
-			if len(cand) >= n {
-				break
-			}
-			if s.leases.Owner(int(ch)) != ten {
-				continue
-			}
-			grp := v.LiveWorkersOn(ch)
-			if len(grp) == 0 {
-				continue
-			}
-			if s.brk != nil && !s.brk.Allow(int(ch)) {
-				continue
-			}
-			cand = append(cand, grp...)
-		}
+	// Pass 0 walks the tenant's own lease; pass 1 walks the whole machine
+	// and runs only when pass 0 is skipped or yields no candidate.
+	first := 1
+	if s.leases != nil && s.leases.Held(ten) > 0 {
+		first = 0
 	}
-	if len(cand) == 0 {
+	var cand []int
+	for pass := first; pass < 2 && len(cand) == 0; pass++ {
 		for _, ch := range chs {
 			if len(cand) >= n {
 				break
+			}
+			if pass == 0 && s.leases.Owner(int(ch)) != ten {
+				continue
 			}
 			grp := v.LiveWorkersOn(ch)
 			if len(grp) == 0 {
@@ -1209,39 +1043,22 @@ func (s *JobService) completeLocked(j *Job, now int64) {
 	s.stats.Completed++
 	m := s.rt.met
 	m.jobsCompleted.Add(0, 1)
-	t := s.tenantRtOf(j)
-	if t != nil {
-		// Per-tenant estimator: service times feed only the owning
-		// tenant's distribution.
-		t.inflight--
-		s.estBank.Observe(j.ten, now-j.started)
-	} else {
-		s.est.Observe(now - j.started)
-	}
+	t := s.tens[j.ten]
+	t.inflight--
+	// Per-tenant estimator: service times feed only the owning tenant's
+	// distribution.
+	s.estBank.Observe(j.ten, now-j.started)
 	s.finalizeLocked(j, JobCompleted, now)
+	t.stats.Completed++
+	t.mDone.Add(0, 1)
 	if j.MetDeadline() {
 		s.stats.Met++
+		t.stats.Met++
 	}
-	if t != nil {
-		t.stats.Completed++
-		t.mDone.Add(0, 1)
-		if j.MetDeadline() {
-			t.stats.Met++
-		}
-		t.lat.ObserveT(0, now-j.arrival, obs.TraceID(j.id))
-	}
+	t.lat.ObserveT(0, now-j.arrival, obs.TraceID(j.id))
 	s.observeLatencyLocked(j, now-j.arrival)
 	s.updateNextWorkLocked()
 	s.checkDrainedLocked()
-}
-
-// tenantRtOf returns job j's tenant runtime, or nil on a single-tenant
-// service.
-func (s *JobService) tenantRtOf(j *Job) *tenantRt {
-	if j.ten >= 0 && j.ten < len(s.tens) {
-		return s.tens[j.ten]
-	}
-	return nil
 }
 
 // clampPrio clamps a priority to the [0, 7] label range.
@@ -1287,14 +1104,13 @@ func (s *JobService) stageDone(j *Job, g *group) {
 			Start: j.stageStart, End: end, Stage: j.curStage, Arg: j.stageTasks})
 	}
 	m := s.rt.met
+	t := s.tens[j.ten]
 	switch {
 	case j.cancelled.Load():
 		s.inflight--
 		s.stats.Cancelled++
-		if t := s.tenantRtOf(j); t != nil {
-			t.inflight--
-			t.stats.Cancelled++
-		}
+		t.inflight--
+		t.stats.Cancelled++
 		m.jobsCancelled.Add(0, 1)
 		s.finalizeLocked(j, JobCancelled, end)
 		s.updateNextWorkLocked()
@@ -1302,10 +1118,8 @@ func (s *JobService) stageDone(j *Job, g *group) {
 	case g.panicked.Load() != nil:
 		s.inflight--
 		s.stats.Failed++
-		if t := s.tenantRtOf(j); t != nil {
-			t.inflight--
-			t.stats.Failed++
-		}
+		t.inflight--
+		t.stats.Failed++
 		j.err.Store(g.panicked.Load())
 		s.finalizeLocked(j, JobFailed, end)
 		s.updateNextWorkLocked()

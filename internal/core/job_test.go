@@ -1,14 +1,19 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"charm/internal/admit"
 	"charm/internal/fault"
+	"charm/internal/pmu"
 	"charm/internal/sim"
 	"charm/internal/topology"
 )
@@ -364,5 +369,195 @@ func TestBreakerTripsUnderThermalFault(t *testing.T) {
 	}
 	if st.Submitted != 120 {
 		t.Errorf("Submitted = %d, want 120", st.Submitted)
+	}
+}
+
+// goldenDigest hashes a tenantless run's observable outcome: the
+// admission ledger, every job's (state, arrival, latency) and the PMU
+// totals. Call it after Stop so no worker is still charging counters.
+func goldenDigest(svc *JobService, rt *Runtime) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v|", svc.Stats())
+	for _, j := range svc.Jobs() {
+		fmt.Fprintf(h, "%d:%d:%d,", j.State(), j.Arrival(), j.Latency())
+	}
+	for e := 0; e < pmu.NumEvents; e++ {
+		fmt.Fprintf(h, "%d,", rt.M.PMU.Total(pmu.Event(e)))
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// goldenStream is a seeded Poisson source of n one-stage jobs (4 tasks of
+// 8µs each) whose specs gen may adjust.
+func goldenStream(seed uint64, gap int64, n int, gen func(i int, s *JobSpec)) JobSource {
+	return &SpecSource{
+		Arrivals: admit.NewPoisson(seed, gap, n),
+		Gen: func(i int) JobSpec {
+			s := computeJob(4, 8_000, nil)
+			s.Priority = i % 3
+			if gen != nil {
+				gen(i, &s)
+			}
+			return s
+		},
+	}
+}
+
+// TestTenantlessDispatchGolden pins the tenantless job service's
+// admission and dispatch outcomes to hashes recorded from a known-good
+// build, one case per behaviour: Block holding arrivals upstream behind a
+// full queue, Reject refusing with ErrQueueFull, Shed dropping hopeless
+// and expired jobs, round-robin placement, a stream of external
+// SubmitJob calls, and one cooperatively cancelled job. Replay tests
+// compare two runs of the same build; this one compares against the past.
+//
+// A mismatch means the service's behaviour changed. If the change is
+// intended, re-record by running
+//
+//	go test -run TestTenantlessDispatchGolden ./internal/core/
+//
+// and copying each case's "got" hash from the failure output.
+func TestTenantlessDispatchGolden(t *testing.T) {
+	const n = 60
+	cases := []struct {
+		name  string
+		want  string
+		opts  JobServiceOptions
+		drive func(t *testing.T, rt *Runtime) // external submissions (after Start)
+		check func(st JobStats) bool          // non-vacuity guard
+	}{
+		{
+			name: "block",
+			want: "57863b3ef1cda445",
+			opts: JobServiceOptions{Policy: admit.Block, QueueCapacity: 2, MaxInFlight: 2,
+				Source: goldenStream(3, 1_000, n, nil)},
+			check: func(st JobStats) bool { return st.Completed == n && st.Rejected == 0 && st.MaxQueue == 2 },
+		},
+		{
+			name: "reject",
+			want: "102ce7d4ffa33de7",
+			opts: JobServiceOptions{Policy: admit.Reject, QueueCapacity: 3, MaxInFlight: 2,
+				Source: goldenStream(5, 1_000, n, nil)},
+			check: func(st JobStats) bool { return st.Rejected > 0 && st.Completed > 0 },
+		},
+		{
+			name: "shed",
+			want: "301d1bff7cc5ace6",
+			opts: JobServiceOptions{Policy: admit.Shed, QueueCapacity: 8, MaxInFlight: 2,
+				Source: goldenStream(7, 2_000, n, func(i int, s *JobSpec) {
+					s.Deadline = 40_000
+					switch i % 4 {
+					case 0:
+						s.Cost = 60_000 // hopeless at admission
+					case 1:
+						s.Deadline = 12_000 // expires while queued
+					default:
+						s.Cost = 8_000
+					}
+				})},
+			check: func(st JobStats) bool { return st.Shed > 0 && st.Expired > 0 && st.Completed > 0 },
+		},
+		{
+			name: "roundrobin",
+			want: "309b82b01b400363",
+			opts: JobServiceOptions{Policy: admit.Reject, Placement: PlaceRoundRobin,
+				Source: goldenStream(9, 4_000, n, func(i int, s *JobSpec) {
+					s.Stages = append(s.Stages, computeJob(3, 2_000, nil).Stages...)
+				})},
+			check: func(st JobStats) bool { return st.Completed == n },
+		},
+		{
+			name: "external",
+			want: "7de59432805c8f97",
+			drive: func(t *testing.T, rt *Runtime) {
+				for i := 0; i < 12; i++ {
+					s := computeJob(1+i%4, int64(1_000*(1+i%3)), nil)
+					s.Priority = i % 2
+					j, err := rt.SubmitJob(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					<-j.Done()
+				}
+			},
+			check: func(st JobStats) bool { return st.Completed == 12 },
+		},
+		{
+			name: "cancel",
+			want: "410adbd7a97961c5",
+			opts: JobServiceOptions{Policy: admit.Reject,
+				Source: goldenStream(11, 4_000, 20, func(i int, s *JobSpec) {
+					if i != 5 {
+						return
+					}
+					s.Coro = true
+					self := func(ctx *Ctx) {
+						ctx.Compute(2_000)
+						ctx.task.job.Cancel()
+						ctx.Yield()
+					}
+					s.Stages = []JobStage{{self, self, self, self}, computeJob(2, 1_000, nil).Stages[0]}
+				})},
+			check: func(st JobStats) bool { return st.Cancelled == 1 && st.Completed == 19 },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			topo := topology.Synthetic(4, 2)
+			rt := NewRuntime(sim.New(sim.Config{Topo: topo}), Options{Workers: 8, Deterministic: true})
+			var svc *JobService
+			if tc.opts.Source != nil {
+				var err error
+				if svc, err = rt.ServeJobs(tc.opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rt.Start()
+			if tc.drive != nil {
+				tc.drive(t, rt)
+				svc = rt.JobServer()
+			}
+			svc.Drain()
+			rt.Stop()
+			if st := svc.Stats(); !tc.check(st) {
+				t.Fatalf("case no longer exercises its behaviour: %+v", st)
+			}
+			if got := goldenDigest(svc, rt); got != tc.want {
+				t.Errorf("digest = %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestServeJobsAfterStartReplays: a started deterministic fleet idles
+// until ServeJobs installs the service, and every idle turn moves the
+// lockstep's round-robin tie-break. ServeJobs pauses the fleet while it
+// installs, so a Source-driven run must replay identically however long
+// the host waited before the call.
+func TestServeJobsAfterStartReplays(t *testing.T) {
+	delays := []time.Duration{0, 500 * time.Microsecond, 2 * time.Millisecond}
+	var want string
+	for r := 0; r < 2*len(delays); r++ {
+		topo := topology.Synthetic(4, 2)
+		rt := NewRuntime(sim.New(sim.Config{Topo: topo}), Options{Workers: 8, Deterministic: true})
+		rt.Start()
+		time.Sleep(delays[r%len(delays)])
+		svc, err := rt.ServeJobs(JobServiceOptions{Policy: admit.Shed, QueueCapacity: 8,
+			Source: goldenStream(13, 2_000, 40, func(i int, s *JobSpec) {
+				s.Deadline = 40_000
+				s.Cost = 8_000
+			})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.Drain()
+		rt.Stop()
+		got := goldenDigest(svc, rt)
+		if r == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("replay %d (ServeJobs after %v) digest = %s, want %s",
+				r, delays[r%len(delays)], got, want)
+		}
 	}
 }

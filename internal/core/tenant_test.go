@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"charm/internal/admit"
@@ -206,4 +207,50 @@ func TestTenantUnknownSubmit(t *testing.T) {
 		t.Errorf("empty tenant routed to %q, want A", got)
 	}
 	svc.Drain()
+}
+
+// TestTenantlessSurface: a service without declared tenants runs as one
+// implicit tenant, which must stay invisible. The tenant accessors return
+// nil, jobs report no tenant, a JobSpec.Tenant value is ignored rather
+// than refused, and the runtime registry gains no per-tenant series.
+func TestTenantlessSurface(t *testing.T) {
+	rt := jobRuntime(t, Options{Deterministic: true})
+	rt.EnableMetrics(true)
+	svc, err := rt.ServeJobs(JobServiceOptions{Policy: admit.Reject})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := svc.TenantStats(); ts != nil {
+		t.Errorf("TenantStats = %+v, want nil", ts)
+	}
+	if names := svc.TenantNames(); names != nil {
+		t.Errorf("TenantNames = %q, want nil", names)
+	}
+	if owners := svc.LeaseOwners(); owners != nil {
+		t.Errorf("LeaseOwners = %v, want nil", owners)
+	}
+	if grants := svc.DispatchGrants(); grants != nil {
+		t.Errorf("DispatchGrants = %v, want nil", grants)
+	}
+	for _, name := range []string{"", "ghost"} {
+		spec := computeJob(2, 1_000, nil)
+		spec.Tenant = name
+		j, err := rt.SubmitJob(spec)
+		if err != nil {
+			t.Fatalf("Tenant %q: SubmitJob refused: %v", name, err)
+		}
+		<-j.Done()
+		if j.State() != JobCompleted || j.Tenant() != "" {
+			t.Errorf("Tenant %q: state=%v Tenant()=%q, want completed and \"\"", name, j.State(), j.Tenant())
+		}
+	}
+	snap := rt.MetricsSnapshot()
+	if c := snap.Find("charm_jobs_completed_total", nil); c == nil || c.Value != 2 {
+		t.Fatal("runtime registry lacks the job ledger; the check below would be vacuous")
+	}
+	for _, s := range snap.Samples {
+		if strings.HasPrefix(s.Name, "charm_tenant_") {
+			t.Errorf("tenantless service exported %s", s.Key())
+		}
+	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 
 	"charm/internal/admit"
@@ -11,15 +10,20 @@ import (
 	"charm/internal/tenant"
 )
 
-// This file is the multi-tenant isolation plane of the job service. With
-// JobServiceOptions.Tenants set, the single admission heap becomes one
-// bounded queue per tenant, drained by a deficit-round-robin mux so every
-// tenant holds a weighted fair share of dispatch slots; per-tenant token
-// buckets rate-limit arrivals under each tenant's own overflow policy; and
-// chiplet-group leases — arbitrated at every evaluation tick through the
-// placement plane's liveness view — partition the machine elastically, so
-// a bursting tenant floods its own lease instead of its neighbors'.
-// Single-tenant services (Tenants empty) take none of these paths.
+// This file is the tenant plane of the job service, its one admission and
+// dispatch path. Every tenant owns a bounded queue, drained by a deficit-
+// round-robin mux so each holds a weighted fair share of dispatch slots,
+// and a token bucket that rate-limits arrivals under the tenant's own
+// overflow policy. With JobServiceOptions.Tenants set, chiplet-group
+// leases — arbitrated at every evaluation tick through the placement
+// plane's liveness view — also partition the machine elastically, so a
+// bursting tenant floods its own lease instead of its neighbors'.
+//
+// A service without declared tenants runs as one implicit tenant: weight
+// 1, no rate limit, the global Policy, QueueCapacity and Source, and no
+// lease table, so placement walks the whole machine and the steal fence
+// stays open. Its per-tenant series go to a private registry, keeping the
+// runtime's metrics free of tenant labels.
 //
 // All tenant state lives behind svc.mu like the rest of the service, so
 // deterministic runs arbitrate identically: queues are scanned in tenant
@@ -75,8 +79,7 @@ type tenantRt struct {
 	q       *admit.Queue
 	bucket  *tenant.Bucket
 	src     JobSource
-	pending *Job
-	srcOK   bool
+	pending *Job // next arrival pulled from src (nil = exhausted or none)
 	// bucketAt is the virtual time the next token matures for a
 	// Block-policy arrival held upstream by the rate limiter (0 = none).
 	bucketAt int64
@@ -92,10 +95,23 @@ type tenantRt struct {
 	mLimited *obs.Counter
 }
 
-// setupTenants builds the multi-tenant plane during ServeJobs. Caller has
-// already defaulted the global options.
+// setupTenants builds the tenant plane during ServeJobs: the declared
+// tenants, or the implicit one when cfgs is empty. Caller has already
+// defaulted the global options.
 func (s *JobService) setupTenants(cfgs []TenantConfig) error {
-	if s.opts.Source != nil {
+	declared := len(cfgs) > 0
+	reg := s.rt.met.reg
+	if !declared {
+		// The implicit tenant: weight 1, no rate limit (GapNS 0), the
+		// global policy and source, and QueueCap 0 = QueueCapacity. Its
+		// per-tenant series go to a private registry that stays disabled,
+		// so the runtime's metrics gain no tenant labels.
+		cfgs = []TenantConfig{{
+			Spec:   tenant.Spec{Weight: 1, Policy: s.opts.Policy},
+			Source: s.opts.Source,
+		}}
+		reg = obs.NewRegistry(1)
+	} else if s.opts.Source != nil {
 		return errors.New("core: Tenants and a global Source are mutually exclusive (give each tenant its own)")
 	}
 	nch := s.rt.M.Topo.NumChiplets()
@@ -103,14 +119,15 @@ func (s *JobService) setupTenants(cfgs []TenantConfig) error {
 	weights := make([]int64, len(cfgs))
 	quotas := make([]int, len(cfgs))
 	quotaSum := 0
-	reg := s.rt.met.reg
 	for i, c := range cfgs {
 		spec := c.Spec
-		if err := spec.Validate(); err != nil {
-			return err
-		}
-		if _, dup := s.tenIdx[spec.Name]; dup {
-			return errors.New("core: duplicate tenant " + strconv.Quote(spec.Name))
+		if declared {
+			if err := spec.Validate(); err != nil {
+				return err
+			}
+			if _, dup := s.tenIdx[spec.Name]; dup {
+				return errors.New("core: duplicate tenant " + strconv.Quote(spec.Name))
+			}
 		}
 		s.tenIdx[spec.Name] = i
 		weights[i] = spec.Weight
@@ -153,9 +170,11 @@ func (s *JobService) setupTenants(cfgs []TenantConfig) error {
 			strconv.Itoa(quotaSum) + " chiplets guaranteed, " + strconv.Itoa(nch) + " exist")
 	}
 	s.drr = tenant.NewDRR(weights)
-	s.leases = tenant.NewLeaseTable(nch, quotas, weights)
 	s.estBank = admit.NewEstimatorBank(len(cfgs), s.opts.EstQuantile, s.opts.EstMinSamples)
-	s.publishLeaseViewLocked()
+	if declared {
+		s.leases = tenant.NewLeaseTable(nch, quotas, weights)
+		s.publishLeaseViewLocked()
+	}
 	for i, tr := range s.tens {
 		if tr.src != nil {
 			s.advanceTenantSource(i)
@@ -164,10 +183,11 @@ func (s *JobService) setupTenants(cfgs []TenantConfig) error {
 	return nil
 }
 
-// tenantOf resolves a spec's tenant name (empty selects tenant 0, so
-// single-tenant callers keep working against a tenant-enabled service).
+// tenantOf resolves a spec's tenant name. Empty selects tenant 0, so
+// tenant-unaware callers keep working against a tenant-enabled service;
+// without declared tenants the name is ignored.
 func (s *JobService) tenantOf(spec *JobSpec) (int, error) {
-	if spec.Tenant == "" {
+	if spec.Tenant == "" || s.leases == nil {
 		return 0, nil
 	}
 	i, ok := s.tenIdx[spec.Tenant]
@@ -183,13 +203,12 @@ func (s *JobService) advanceTenantSource(i int) {
 	tr := s.tens[i]
 	at, spec, ok := tr.src.Next()
 	if !ok {
-		tr.pending, tr.srcOK = nil, false
+		tr.pending = nil
 		return
 	}
 	if err := validateSpec(&spec); err != nil {
-		panic(err)
+		panic(err) // a source generating invalid specs is a programming error
 	}
-	tr.srcOK = true
 	j := s.newJobLocked(at, spec)
 	j.ten = i
 	tr.pending = j
@@ -312,8 +331,8 @@ func (s *JobService) backlogLocked() int {
 	return n
 }
 
-// pumpTenants is the multi-tenant pump body: per-tenant admission, the
-// shared periodic evaluation, then DRR-fair dispatch. Caller holds mu.
+// pumpTenants is the pump body: per-tenant admission, the shared periodic
+// evaluation, then DRR-fair dispatch. Caller holds mu.
 func (s *JobService) pumpTenants(now int64) bool {
 	did := false
 
@@ -427,10 +446,13 @@ func (s *JobService) evalTenantsLocked(now int64) {
 }
 
 // TenantStats returns every tenant's ledger in configuration order (nil
-// for a single-tenant service).
+// without declared tenants).
 func (s *JobService) TenantStats() []TenantStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.leases == nil {
+		return nil
+	}
 	out := make([]TenantStats, len(s.tens))
 	for i, tr := range s.tens {
 		st := tr.stats
@@ -443,10 +465,14 @@ func (s *JobService) TenantStats() []TenantStats {
 	return out
 }
 
-// TenantNames returns the configured tenant names in index order.
+// TenantNames returns the configured tenant names in index order (nil
+// without declared tenants).
 func (s *JobService) TenantNames() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.leases == nil {
+		return nil
+	}
 	names := make([]string, len(s.tens))
 	for i, tr := range s.tens {
 		names[i] = tr.spec.Name
@@ -455,7 +481,7 @@ func (s *JobService) TenantNames() []string {
 }
 
 // LeaseOwners returns the chiplet→tenant-index ownership map (-1 = free;
-// nil for a single-tenant service).
+// nil without declared tenants).
 func (s *JobService) LeaseOwners() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -466,11 +492,11 @@ func (s *JobService) LeaseOwners() []int {
 }
 
 // DispatchGrants returns the DRR mux's cumulative dispatch slots per
-// tenant (nil for a single-tenant service).
+// tenant (nil without declared tenants).
 func (s *JobService) DispatchGrants() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.drr == nil {
+	if s.leases == nil {
 		return nil
 	}
 	return s.drr.Grants()
@@ -489,11 +515,12 @@ func (s *JobService) publishLeaseViewLocked() {
 
 // stealAllowed is the work-stealing lease fence, consulted lock-free on
 // the steal path: a thief on chiplet ch may not import a task of a tenant
-// that does not own ch. Free chiplets (owner -1) and non-tenant tasks are
-// unfenced, and the caller bypasses the fence for blocked victims —
-// rescue beats isolation, exactly like the pinned-task escape hatch.
+// that does not own ch. Free chiplets (owner -1), non-job tasks and
+// services without declared tenants (no published view) are unfenced, and
+// the caller bypasses the fence for blocked victims — rescue beats
+// isolation, exactly like the pinned-task escape hatch.
 func (s *JobService) stealAllowed(ch int, t *Task) bool {
-	if t.job == nil || t.job.ten < 0 {
+	if t.job == nil {
 		return true
 	}
 	p := s.leaseView.Load()
@@ -502,46 +529,6 @@ func (s *JobService) stealAllowed(ch int, t *Task) bool {
 	}
 	owner := (*p)[ch]
 	return owner < 0 || owner == int32(t.job.ten)
-}
-
-// updateNextWorkTenantsLocked is updateNextWorkLocked's multi-tenant
-// body: the pump's next wake-up is the earliest of a dispatchable
-// backlog (now), the earliest decidable pending arrival — pushed out to
-// its token-maturity time when the rate limiter holds it upstream — and
-// the next evaluation tick.
-func (s *JobService) updateNextWorkTenantsLocked() {
-	next := int64(math.MaxInt64)
-	backlog := 0
-	anySrc, anyPend := false, false
-	for _, tr := range s.tens {
-		backlog += tr.q.Len()
-		if tr.srcOK {
-			anySrc = true
-		}
-		if tr.pending == nil {
-			continue
-		}
-		anyPend = true
-		if tr.spec.Policy == admit.Block && tr.q.Len() >= tr.q.Cap() {
-			continue // waits for dispatch to free queue space
-		}
-		t := tr.pending.arrival
-		if tr.bucketAt > t {
-			t = tr.bucketAt
-		}
-		if t < next {
-			next = t
-		}
-	}
-	if backlog > 0 && s.inflight < s.opts.MaxInFlight {
-		next = 0
-	}
-	if s.inflight > 0 || backlog > 0 || anySrc || anyPend {
-		if due := s.lastEval + s.opts.EvalInterval; due < next {
-			next = due
-		}
-	}
-	s.nextWork.Store(next)
 }
 
 // updateThermLocked refreshes the thermal shed-pressure factor from the

@@ -13,8 +13,9 @@ import (
 // The tenant-isolation experiment is the noisy-neighbor containment gate.
 // Two tenants share one machine: tenant A runs a diurnal latency-sensitive
 // stream well inside its guaranteed share, tenant B flash-crowds to 10x its
-// quota. Under the shared-heap baseline (one Block queue, no tenancy) B's
-// flood queues ahead of A and A's p99 diverges; under the isolation plane
+// quota. Under the shared-heap baseline (no declared tenants: the service's
+// one implicit tenant with a single Block queue and no leases) B's flood
+// queues ahead of A and A's p99 diverges; under the isolation plane
 // (per-tenant queues, token buckets, DRR dispatch, chiplet leases) A's p99
 // must stay within 2x of its solo run while the baseline exceeds 10x. A
 // fault row offlines one of A's leased chiplets mid-run to show lease
@@ -62,8 +63,8 @@ func tnSpecB() charm.TenantSpec {
 }
 
 // tnGen builds one tenant's job generator; the name prefix keys per-tenant
-// accounting in the shared-heap baseline, where the service itself has no
-// tenant dimension.
+// accounting in the shared-heap baseline, whose service declares no
+// tenants and so reports no per-tenant ledger.
 func tnGen(prefix string) func(i int) charm.JobSpec {
 	return func(i int) charm.JobSpec {
 		stage := make(charm.JobStage, tnTasks)
@@ -147,8 +148,9 @@ func (r tenantResult) p99us() float64 {
 }
 
 // tenantRun drives one configuration and splits the outcome by tenant.
-// isolated=false runs the shared-heap baseline (one Block queue, merged
-// streams, tenants distinguished only by name prefix).
+// isolated=false runs the shared-heap baseline: no declared tenants, so
+// the merged streams share the implicit tenant's one Block queue and are
+// told apart only by name prefix.
 func (o Options) tenantRun(isolated, soloA bool, faults *charm.FaultSchedule) map[string]tenantResult {
 	rt, err := charm.Init(charm.Config{
 		Topology:      topology.Synthetic(4, 2),
